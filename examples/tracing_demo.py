@@ -14,7 +14,7 @@ Walks the PR-9 observability story end to end, over real HTTP:
 4. profile the same benchmarks in-process with
    :func:`~repro.profile.profile_benchmarks` and print the ranked
    hotspot table (machine-independent work counters: gates, swaps,
-   liveness segments, reclamation ops).
+   liveness segments, uncompute gates, reclamation decisions).
 
 Every step asserts what it claims, so CI can run this file as the
 tracing smoke test.  Run with::

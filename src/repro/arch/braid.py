@@ -47,11 +47,17 @@ def manhattan_route(start: Tuple[int, int], end: Tuple[int, int]) -> List[Segmen
 
 def route_vertices(start: Tuple[int, int], end: Tuple[int, int]
                    ) -> FrozenSet[Tuple[int, int]]:
-    """All lattice coordinates an L-shaped route passes through (inclusive)."""
-    vertices = {start, end}
-    for a, b in manhattan_route(start, end):
-        vertices.add(a)
-        vertices.add(b)
+    """All lattice coordinates an L-shaped route passes through (inclusive).
+
+    The route of :func:`manhattan_route`: along ``start``'s row to
+    ``end``'s column, then along that column to ``end``.
+    """
+    row, col = start
+    end_row, end_col = end
+    col_step = 1 if end_col >= col else -1
+    row_step = 1 if end_row >= row else -1
+    vertices = [(row, c) for c in range(col, end_col + col_step, col_step)]
+    vertices += [(r, end_col) for r in range(row, end_row + row_step, row_step)]
     return frozenset(vertices)
 
 
@@ -154,12 +160,16 @@ class BraidTracker:
         start = earliest_start
         finish = start + self._braid_duration
 
-        conflicts = [
-            braid for braid in self._active
-            if braid.overlaps_time(start, finish) and braid.crosses(vertices)
+        # Braid.overlaps_time and Braid.crosses, inlined: this scan runs
+        # once per tracked braid for every logical CNOT.
+        conflict_finishes = [
+            braid.finish for braid in self._active
+            if braid.start < finish and start < braid.finish
+            and not braid.vertices.isdisjoint(vertices)
         ]
-        if conflicts:
-            start = max(braid.finish for braid in conflicts)
+        crossings = len(conflict_finishes)
+        if crossings:
+            start = max(conflict_finishes)
             finish = start + self._braid_duration
 
         braid = Braid(start=start, finish=finish, vertices=vertices,
@@ -167,9 +177,9 @@ class BraidTracker:
         self._active.append(braid)
         self._latest_finish = max(self._latest_finish, finish)
         self.total_braids += 1
-        self.total_crossings += len(conflicts)
+        self.total_crossings += crossings
         self._prune()
-        return BraidRequest(start=start, finish=finish, crossings=len(conflicts),
+        return BraidRequest(start=start, finish=finish, crossings=crossings,
                             vertices=vertices)
 
     def average_crossings(self) -> float:

@@ -80,13 +80,13 @@ class LifoAllocation(AllocationPolicy):
             if not request.heap.is_empty():
                 allocated.append(request.heap.pop())
                 continue
-            free = layout.free_sites()
-            if not free:
+            site = layout.first_free_site()
+            if site is None:
                 raise ResourceExhaustedError(
                     f"module {request.module_name!r}: machine is out of qubits "
                     f"(requested {request.count})"
                 )
-            allocated.append(request.create_qubit(free[0]))
+            allocated.append(request.create_qubit(site))
         return allocated
 
 
@@ -153,12 +153,17 @@ class LocalityAwareAllocation(AllocationPolicy):
         ]
         return tuple(sites)
 
-    def _communication_score(self, request: AllocationRequest, site: int,
+    @staticmethod
+    def _communication_score(distance: Callable[[int, int], int], site: int,
                              anchors: Sequence[int]) -> float:
+        """Mean hop distance from ``site`` to ``anchors`` (0 without any).
+
+        ``distance`` is the topology's bound ``distance`` method, looked up
+        once per candidate list rather than once per pair.
+        """
         if not anchors:
             return 0.0
-        topology = request.scheduler.layout.topology
-        return sum(topology.distance(site, anchor) for anchor in anchors) / len(anchors)
+        return sum([distance(site, anchor) for anchor in anchors]) / len(anchors)
 
     def _best_heap_candidate(
         self, request: AllocationRequest, anchors: Sequence[int]
@@ -169,10 +174,11 @@ class LocalityAwareAllocation(AllocationPolicy):
         layout = scheduler.layout
         frontier = scheduler.frontier_time(request.interacting_qubits)
         swap_duration = max(scheduler.machine.swap_duration, 1)
+        distance = layout.topology.distance
         best: Optional[Tuple[int, float]] = None
         for qubit in request.heap:
             site = layout.site_of(qubit)
-            comm = self._communication_score(request, site, anchors)
+            comm = self._communication_score(distance, site, anchors)
             wait = max(scheduler.qubit_time(qubit) - frontier, 0)
             serialization = self.serialization_weight * wait / swap_duration
             score = comm + serialization
@@ -194,12 +200,13 @@ class LocalityAwareAllocation(AllocationPolicy):
         if not free:
             return None
         centroid = topology.centroid_site(live_sites) if live_sites else None
+        distance = topology.distance
         best: Optional[Tuple[int, float]] = None
         for site in free:
-            comm = self._communication_score(request, site, anchors)
+            comm = self._communication_score(distance, site, anchors)
             expansion = 0.0
             if centroid is not None:
-                expansion = self.area_weight * topology.distance(site, centroid)
+                expansion = self.area_weight * distance(site, centroid)
             score = comm + expansion
             if best is None or score < best[1]:
                 best = (site, score)

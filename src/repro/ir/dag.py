@@ -3,38 +3,39 @@
 Gates that share a qubit are data-dependent; gates on disjoint qubits can
 run in parallel.  The DAG view provides circuit depth, the critical path,
 per-layer parallelism and an ASAP layering, all of which feed the gate
-scheduler and the evaluation metrics.
+scheduler and the evaluation metrics.  Graphs are plain dicts: the
+dependency DAG maps each gate index to its successors, the interaction
+graph maps each qubit pair to its two-qubit gate count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, List, Tuple
 
 from repro.ir.circuit import Circuit
 from repro.ir.gates import Gate
 
 
-def build_dependency_dag(circuit: Circuit) -> "nx.DiGraph":
-    """Build the gate dependency DAG.
+def build_dependency_dag(circuit: Circuit) -> Dict[int, List[int]]:
+    """Build the gate dependency DAG as ``gate index -> successor indices``.
 
-    Nodes are gate positions (integers); an edge u -> v means gate v must
-    run after gate u because they share at least one qubit and v appears
-    later in program order.  Only the most recent writer per qubit is
-    linked, so the graph is the transitive reduction along each wire.
+    Every gate position is a key; ``v in dag[u]`` means gate v must run
+    after gate u because they share at least one qubit and v appears later
+    in program order.  Only the most recent writer per qubit is linked, so
+    the graph is the transitive reduction along each wire.  Successor
+    lists are ascending.
     """
-    graph = nx.DiGraph()
+    successors: Dict[int, List[int]] = {}
     last_on_wire: Dict[int, int] = {}
     for index, gate in enumerate(circuit):
-        graph.add_node(index, gate=gate)
+        successors[index] = []
         predecessors = {last_on_wire[q] for q in gate.qubits if q in last_on_wire}
         for pred in predecessors:
-            graph.add_edge(pred, index)
+            successors[pred].append(index)
         for q in gate.qubits:
             last_on_wire[q] = index
-    return graph
+    return successors
 
 
 def asap_layers(circuit: Circuit) -> List[List[int]]:
@@ -59,11 +60,27 @@ def asap_layers(circuit: Circuit) -> List[List[int]]:
 
 
 def critical_path(circuit: Circuit) -> List[int]:
-    """Return gate indices along one longest dependency chain."""
-    graph = build_dependency_dag(circuit)
-    if graph.number_of_nodes() == 0:
+    """Return gate indices along one longest dependency chain.
+
+    Of equally long chains, the one ending at the earliest gate is
+    returned, and along it each gate's earliest longest predecessor.
+    """
+    successors = build_dependency_dag(circuit)
+    if not successors:
         return []
-    return nx.dag_longest_path(graph)
+    length = [1] * len(successors)
+    parent = [-1] * len(successors)
+    # Program order is a topological order of the DAG.
+    for gate, later in successors.items():
+        for successor in later:
+            if length[gate] + 1 > length[successor]:
+                length[successor] = length[gate] + 1
+                parent[successor] = gate
+    path = [max(range(len(length)), key=length.__getitem__)]
+    while parent[path[-1]] >= 0:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
 
 
 @dataclass(frozen=True)
@@ -97,10 +114,13 @@ def parallelism_profile(circuit: Circuit) -> ParallelismProfile:
     )
 
 
-def interaction_graph(circuit: Circuit) -> "nx.Graph":
-    """Weighted qubit-interaction graph (edge weight = #two-qubit gates)."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(circuit.num_qubits))
+def interaction_graph(circuit: Circuit) -> Dict[Tuple[int, int], int]:
+    """Weighted qubit-interaction graph as ``(a, b) -> weight``.
+
+    Keys are qubit pairs with ``a < b``; the weight counts the multi-qubit
+    gates acting on both.  Pairs that never interact are absent.
+    """
+    weights: Dict[Tuple[int, int], int] = {}
     for gate in circuit:
         if gate.num_qubits < 2:
             continue
@@ -108,8 +128,6 @@ def interaction_graph(circuit: Circuit) -> "nx.Graph":
         for i in range(len(qubits)):
             for j in range(i + 1, len(qubits)):
                 a, b = qubits[i], qubits[j]
-                if graph.has_edge(a, b):
-                    graph[a][b]["weight"] += 1
-                else:
-                    graph.add_edge(a, b, weight=1)
-    return graph
+                pair = (a, b) if a < b else (b, a)
+                weights[pair] = weights.get(pair, 0) + 1
+    return weights

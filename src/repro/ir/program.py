@@ -24,8 +24,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-import networkx as nx
-
 from repro.exceptions import IRError, QubitBindingError, ValidationError
 from repro.ir.gates import gate_spec
 
@@ -338,21 +336,19 @@ class Program:
         self.name = name or entry.name
 
     # ------------------------------------------------------------------
-    def call_graph(self) -> "nx.DiGraph":
-        """Return the static call graph (module name -> module name)."""
-        graph = nx.DiGraph()
-        seen = set()
+    def call_graph(self) -> Dict[str, List[str]]:
+        """Return the static call graph as ``module name -> callee names``.
 
-        def visit(module: QModule) -> None:
-            if id(module) in seen:
-                return
-            seen.add(id(module))
-            graph.add_node(module.name, module=module)
+        Every reachable module name is a key, the entry first; callees are
+        listed once each, in first-call order.  Distinct modules sharing a
+        name share one node.
+        """
+        graph: Dict[str, List[str]] = {}
+        for module in self.modules():
+            callees = graph.setdefault(module.name, [])
             for child in module.child_modules():
-                graph.add_edge(module.name, child.name)
-                visit(child)
-
-        visit(self.entry)
+                if child.name not in callees:
+                    callees.append(child.name)
         return graph
 
     def modules(self) -> Tuple[QModule, ...]:
@@ -397,11 +393,34 @@ class Program:
         """Validate every module and check the call graph is acyclic."""
         for module in self.modules():
             module.validate()
-        graph = self.call_graph()
-        if not nx.is_directed_acyclic_graph(graph):
+        if _has_cycle(self.call_graph()):
             raise ValidationError(
                 f"program {self.name!r} has a cyclic (recursive) call graph"
             )
 
     def __repr__(self) -> str:
         return f"Program({self.name!r}, modules={len(self.modules())})"
+
+
+def _has_cycle(graph: Dict[str, List[str]]) -> bool:
+    """True when the directed graph ``node -> successors`` has a cycle.
+
+    Depth-first search: reaching a node still on the search path closes
+    a cycle.  Recursion depth is the call depth, like :meth:`num_levels`.
+    """
+    on_path: set = set()
+    finished: set = set()
+
+    def visit(node: str) -> bool:
+        if node in finished:
+            return False
+        if node in on_path:
+            return True
+        on_path.add(node)
+        if any(visit(successor) for successor in graph.get(node, ())):
+            return True
+        on_path.discard(node)
+        finished.add(node)
+        return False
+
+    return any(visit(node) for node in graph)

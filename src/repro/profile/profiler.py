@@ -5,12 +5,12 @@ laptop and "slow" on another, so a regression hidden inside phase noise
 is invisible in seconds alone.  This profiler therefore pairs every
 phase timing with **machine-independent work counters** pulled from the
 :class:`~repro.core.result.CompilationResult` itself — gates flattened,
-router swaps inserted, liveness segments tracked, reclamation heap
-decisions taken.  The counters are bit-identical across machines and
-runs, so two profiles of the same job differ only in their seconds
-column, and throughput (``work / seconds``, e.g. gates/sec through the
-allocation phase) becomes the comparable unit the compile perf
-trajectory is tracked in (``BENCH_compile.json``).
+router swaps inserted, liveness segments tracked, uncompute gates
+emitted, reclamation decisions taken.  The counters are bit-identical
+across machines and runs, so two profiles of the same job differ only
+in their seconds column, and throughput (``work / seconds``, e.g.
+gates/sec through the allocation phase) becomes the comparable unit the
+compile perf trajectory is tracked in (``BENCH_compile.json``).
 
 Profiles are built from *fresh in-process* results
 (:func:`profile_benchmarks` compiles through
@@ -31,10 +31,12 @@ from repro.core.result import CompilationResult
 #: Phase -> the work counter that phase's throughput is measured in.
 #: Ordered like the pipeline; phases missing from a result (older
 #: compilers, timing disabled) simply do not appear in its profile.
+#: Reclamation is measured in the uncompute gates it emits, which is where
+#: its seconds go; the decisions it takes stay counted as ``reclaim_ops``.
 PHASE_WORK: "Dict[str, str]" = {
     "validate": "gates",
     "allocation": "gates",
-    "reclamation": "reclaim_ops",
+    "reclamation": "uncompute_gates",
     "liveness": "liveness_events",
     "mapping_routing": "routed_gates",
 }
@@ -45,6 +47,7 @@ COUNTER_UNITS: Dict[str, str] = {
     "swaps": "swaps",
     "routed_gates": "gates",
     "reclaim_ops": "ops",
+    "uncompute_gates": "gates",
     "liveness_events": "segments",
 }
 
@@ -66,6 +69,8 @@ def result_counters(result: CompilationResult) -> Dict[str, int]:
         "routed_gates": int(result.gate_count + result.swap_count),
         # Reclamation decisions (one heap/CER evaluation per Free).
         "reclaim_ops": int(result.num_reclamation_points),
+        # Gates the reclamation phase emitted while uncomputing ancillas.
+        "uncompute_gates": int(result.uncompute_gate_count),
         # Qubit lifetime segments the liveness tracker maintained.
         "liveness_events": int(len(result.usage_segments)),
     }

@@ -85,8 +85,8 @@ class TestProgram:
     def test_call_graph_and_levels(self):
         program = build_two_level_program()
         graph = program.call_graph()
-        assert set(graph.nodes) == {"main", "fun1"}
-        assert graph.has_edge("main", "fun1")
+        assert set(graph) == {"main", "fun1"}
+        assert "fun1" in graph["main"]
         assert program.num_levels() == 2
 
     def test_modules_entry_first(self):
@@ -99,6 +99,42 @@ class TestProgram:
 
     def test_validate_passes(self):
         build_two_level_program().validate()
+
+    def test_call_graph_lists_callees_once_in_call_order(self):
+        leaf_a = QModule("a", num_inputs=1)
+        leaf_a.x(leaf_a.inputs[0])
+        leaf_b = QModule("b", num_inputs=1)
+        leaf_b.x(leaf_b.inputs[0])
+        top = QModule("top", num_inputs=1)
+        for child in (leaf_b, leaf_a, leaf_b):
+            top.call(child, top.inputs[0])
+        assert Program(top).call_graph() == {"top": ["b", "a"], "b": [],
+                                              "a": []}
+
+    def test_validate_rejects_mutual_recursion(self):
+        first = QModule("first", num_inputs=1)
+        second = QModule("second", num_inputs=1)
+        first.call(second, first.inputs[0])
+        second.call(first, second.inputs[0])
+        with pytest.raises(ValidationError, match="cyclic"):
+            Program(first).validate()
+
+    def test_validate_rejects_self_call(self):
+        module = QModule("loop", num_inputs=1)
+        module.x(module.inputs[0])
+        module.call(module, module.inputs[0])
+        with pytest.raises(ValidationError, match="cyclic"):
+            Program(module).validate()
+
+    def test_validate_accepts_shared_callee(self):
+        leaf = QModule("leaf", num_inputs=1)
+        leaf.x(leaf.inputs[0])
+        middle = QModule("middle", num_inputs=1)
+        middle.call(leaf, middle.inputs[0])
+        top = QModule("top", num_inputs=1)
+        top.call(middle, top.inputs[0])
+        top.call(leaf, top.inputs[0])
+        Program(top).validate()
 
 
 class TestModuleBuilder:

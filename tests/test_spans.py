@@ -379,17 +379,32 @@ class TestFleetTrace:
             server.server_close()
             thread.join(timeout=5)
 
+    @staticmethod
+    def _jobs_on_every_endpoint(urls, count=4):
+        """``count`` small jobs that rendezvous sharding spreads over every
+        endpoint.  Shards depend on the endpoint URLs, and test servers
+        bind random ports, so a fixed job list would land on one of two
+        servers one time in eight."""
+        from repro.cluster.sharding import shard_jobs
+
+        candidates = [CompileJob.for_benchmark(name, GRID, policy)
+                      for policy in ("square", "lazy", "eager")
+                      for name in ("RD53", "ADDER4", "2OF5", "6SYM")]
+        shards = shard_jobs([(job.fingerprint(), job) for job in candidates],
+                            urls)
+        assert len(shards) == len(urls), "no candidate reaches some endpoint"
+        chosen = [shard[0][1] for shard in shards.values()]
+        chosen += [job for job in candidates
+                   if job not in chosen][:count - len(chosen)]
+        return chosen
+
     def test_cluster_sweep_merges_spans_from_every_shard(self, tmp_path):
-        from repro.api import SweepSpec
         from repro.cluster import ClusterCoordinator
 
         servers, urls = self._servers(tmp_path)
         try:
-            spec = SweepSpec(benchmarks=("RD53", "ADDER4", "2OF5", "6SYM"),
-                             machines=(GRID,), policies=("square",),
-                             scales=("quick",))
             coordinator = ClusterCoordinator(urls)
-            result = coordinator.run(spec)
+            result = coordinator.run(self._jobs_on_every_endpoint(urls))
             assert len(result) == 4
 
             payload = coordinator.collect_trace()
