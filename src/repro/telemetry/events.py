@@ -14,9 +14,9 @@ bounded, thread-safe :class:`EventLog` ring keeps the most recent
 events in memory (evictions are counted as *drops*, exported on
 ``/metrics``), and optional sinks fan each event out as it is emitted —
 :func:`stderr_sink` for the classic human-readable server log line,
-:class:`JsonlSink` for a durable JSONL file with size-capped rotation
-and a torn-tail-tolerant reader (:func:`read_events`), the same WAL
-discipline as the tenancy job store.
+:class:`JsonlSink` for a durable :mod:`repro.journal` file with
+size-capped rotation, read back (torn tail tolerated) by
+:func:`read_events`.
 
 Event ids reuse the span-id scheme (random per-process prefix + a
 counter) so fleet merges can dedup on ``(worker, event_id)`` without
@@ -26,7 +26,6 @@ per-event ``uuid4()`` cost on the hot path.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import sys
 import threading
@@ -37,6 +36,7 @@ from pathlib import Path
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     TextIO)
 
+from repro import journal
 from repro.telemetry.spans import _ANCHOR_MONO, _ANCHOR_WALL, current_span
 
 __all__ = [
@@ -337,14 +337,13 @@ class EventLog:
 # Durable JSONL sink
 # ----------------------------------------------------------------------
 class JsonlSink:
-    """Append-only JSONL disk sink with size-capped rotation.
+    """Append-only :mod:`repro.journal` disk sink with size-capped rotation.
 
-    Same WAL discipline as the tenancy job store: a version header
-    line, one JSON object per event, flushed per append so a crash
-    loses at most the torn tail (which :func:`read_events` tolerates).
-    When the file passes ``max_bytes`` it is rotated to ``<path>.1``
-    (replacing any previous rotation), so disk use is bounded at
-    roughly ``2 * max_bytes`` per server.
+    A version header line, then one JSON object per event, flushed per
+    append so a crash loses at most the torn tail (which
+    :func:`read_events` tolerates).  When the file passes ``max_bytes``
+    it is rotated to ``<path>.1`` (replacing any previous rotation), so
+    disk use is bounded at roughly ``2 * max_bytes`` per server.
     """
 
     def __init__(self, path, *, max_bytes: int = DEFAULT_MAX_BYTES) -> None:
@@ -353,46 +352,32 @@ class JsonlSink:
         self.path = Path(path)
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh: Optional[TextIO] = None
-        self._bytes = 0
+        self._journal: Optional[journal.Journal] = None
         self._open_locked()
 
     def _open_locked(self) -> None:
         # Callers hold self._lock (or are the constructor, pre-sharing).
-        exists = self.path.exists() and self.path.stat().st_size > 0
-        self._fh = open(self.path, "a", encoding="utf-8")  # lint: unlocked
+        self._journal = journal.Journal(  # lint: unlocked
+            self.path, {"events_version": EVENTS_VERSION})
         self._bytes = self.path.stat().st_size  # lint: unlocked
-        if not exists:
-            header = json.dumps({"events_version": EVENTS_VERSION},
-                                sort_keys=True) + "\n"
-            self._fh.write(header)
-            self._fh.flush()
-            self._bytes += len(header.encode("utf-8"))  # lint: unlocked
 
     def __call__(self, event: LogEvent) -> None:
-        line = json.dumps(event.to_dict(), sort_keys=True) + "\n"
+        record = event.to_dict()
         with self._lock:
-            if self._fh is None:
+            if self._journal is None:
                 raise ValueError("sink is closed")
-            self._fh.write(line)
-            self._fh.flush()
-            self._bytes += len(line.encode("utf-8"))
+            self._bytes += self._journal.append(record)
             if self._bytes > self.max_bytes:
-                self._rotate_locked()
-
-    def _rotate_locked(self) -> None:
-        assert self._fh is not None
-        self._fh.close()
-        rotated = self.path.with_name(self.path.name + ".1")
-        os.replace(self.path, rotated)
-        self._open_locked()
+                self._journal.close()
+                os.replace(self.path,
+                           self.path.with_name(self.path.name + ".1"))
+                self._open_locked()
 
     def close(self) -> None:
         with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+            if self._journal is not None:
+                self._journal.close()
+                self._journal = None
 
 
 def read_events(path) -> Dict[str, object]:
@@ -403,27 +388,8 @@ def read_events(path) -> Dict[str, object]:
     header line is consumed as the version; a file written before the
     header existed replays as version 0.
     """
-    path = Path(path)
+    events, torn = journal.read(path)
     version = 0
-    events: List[Dict[str, object]] = []
-    torn = 0
-    if not path.exists():
-        return {"version": version, "events": events, "torn_lines": torn}
-    with open(path, "r", encoding="utf-8") as fh:
-        for index, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                torn += 1
-                continue
-            if not isinstance(record, dict):
-                torn += 1
-                continue
-            if index == 0 and "events_version" in record:
-                version = int(record["events_version"])
-                continue
-            events.append(record)
+    if events and "events_version" in events[0]:
+        version = int(events.pop(0)["events_version"])
     return {"version": version, "events": events, "torn_lines": torn}

@@ -24,23 +24,23 @@ terminal jobs are served from the journal byte-identically to before
 the crash.
 
 :class:`JsonlJobStore` is the durable implementation: one append-only
-``jobs.wal`` JSONL file, flushed per event, torn-tail tolerant, and
-**compacting** — when the log grows past ``compact_threshold`` lines it
-is atomically rewritten as one snapshot per live job, so a long-lived
-server's journal stays proportional to its retained job table instead
-of its lifetime submission count.  :class:`MemoryJobStore` implements
-the same interface without persistence (tests, ephemeral servers); a
-SQLite-backed store can slot in behind the same five methods.
+``jobs.wal`` :mod:`repro.journal` file, flushed per event, torn-tail
+tolerant, and **compacting** — when the log grows past
+``compact_threshold`` lines it is atomically rewritten as one snapshot
+per live job, so a long-lived server's journal stays proportional to
+its retained job table instead of its lifetime submission count.
+:class:`MemoryJobStore` implements the same interface without
+persistence (tests, ephemeral servers); a SQLite-backed store can slot
+in behind the same :class:`JobStore` interface.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional
 
+from repro import journal
 from repro.exceptions import ServiceError
 
 #: Journal schema version (header line of every WAL).
@@ -133,9 +133,12 @@ class JobStore:
 class MemoryJobStore(JobStore):
     """In-memory :class:`JobStore`: the full interface, no durability.
 
-    Useful for tests of the recovery machinery (hand one instance's
-    records to a second manager) and as the explicit "no persistence"
-    choice; a fresh instance always loads empty.
+    The live-record mirror is kept by folding each recorded event
+    (:meth:`_apply`), the same events :class:`JsonlJobStore` journals
+    and replays, so both stores hand a recovering manager identical
+    records.  Useful for tests of the recovery machinery (hand one
+    instance's records to a second manager) and as the explicit "no
+    persistence" choice; a fresh instance always loads empty.
     """
 
     def __init__(self) -> None:
@@ -149,130 +152,6 @@ class MemoryJobStore(JobStore):
             return [dict(record, entries=list(record["entries"]))
                     for record in self._records.values()]
 
-    def record_submit(self, job) -> None:
-        if self._closed:
-            return
-        with self._lock:
-            self._records[job.job_id] = job_snapshot(job)
-
-    def record_transition(self, job) -> None:
-        if self._closed:
-            return
-        with self._lock:
-            if job.job_id in self._records:
-                self._records[job.job_id] = job_snapshot(job)
-
-    def record_entry(self, job_id: str,
-                     record: Mapping[str, object]) -> None:
-        if self._closed:
-            return
-        with self._lock:
-            snapshot = self._records.get(job_id)
-            if snapshot is not None:
-                snapshot["entries"].append(dict(record))
-
-    def forget(self, job_ids) -> None:
-        with self._lock:
-            for job_id in job_ids:
-                self._records.pop(job_id, None)
-
-    def record_burst(self, scores: Mapping[str, float],
-                     at: float) -> None:
-        if self._closed:
-            return
-        with self._lock:
-            self._burst = {"scores": {tenant: float(score)
-                                      for tenant, score in scores.items()},
-                           "at": float(at)}
-
-    def load_burst(self) -> Optional[Dict[str, object]]:
-        with self._lock:
-            if self._burst is None:
-                return None
-            return {"scores": dict(self._burst["scores"]),
-                    "at": self._burst["at"]}
-
-    def close(self) -> None:
-        self._closed = True
-
-    def stats(self) -> Dict[str, object]:
-        with self._lock:
-            return {"kind": "memory", "live_jobs": len(self._records),
-                    "closed": self._closed}
-
-
-class JsonlJobStore(JobStore):
-    """Append-only JSONL write-ahead log with automatic compaction.
-
-    Layout: ``<root>/jobs.wal`` — line 1 a header, every further line
-    one event.  Appends flush before returning, so any event the
-    manager observed as recorded survives a crash; a torn final line
-    (the expected wound of a killed writer) is skipped on load.
-
-    Args:
-        root: Store directory (created if missing); the server's
-            ``--store-dir``.
-        compact_threshold: WAL line count that triggers an automatic
-            rewrite to one snapshot per live job.  Retention GC calls
-            :meth:`forget`, so the compacted size is bounded by the
-            manager's retention cap, not server lifetime.
-    """
-
-    WAL_NAME = "jobs.wal"
-
-    def __init__(self, root, *,
-                 compact_threshold: int = DEFAULT_COMPACT_THRESHOLD) -> None:
-        if compact_threshold < 2:
-            raise ServiceError(f"compact_threshold must be >= 2, "
-                               f"got {compact_threshold}")
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.path = self.root / self.WAL_NAME
-        self.compact_threshold = compact_threshold
-        self._lock = threading.Lock()
-        self._records: "Dict[str, Dict[str, object]]" = {}
-        self._burst: Optional[Dict[str, object]] = None
-        self._lines = 0
-        self._closed = False
-        self.replayed = 0
-        self.torn_lines = 0
-        self.compactions = 0
-        self.appended = 0
-        if self.path.exists() and self.path.stat().st_size > 0:
-            self._replay()
-        self._stream = open(self.path, "a", encoding="utf-8")
-        if self._lines == 0:
-            self._append({"type": "header", "version": STORE_VERSION})
-
-    # ------------------------------------------------------------------
-    # Replay
-    # ------------------------------------------------------------------
-    def _replay(self) -> None:
-        events: List[Dict[str, object]] = []
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            try:
-                events.append(json.loads(line))
-            except ValueError:
-                self.torn_lines += 1
-                continue
-        if not events:
-            return
-        header = events[0]
-        if header.get("type") != "header":
-            raise ServiceError(
-                f"job journal {self.path} has no header line; refusing "
-                f"to recover from it (move it aside to start fresh)")
-        if header.get("version") != STORE_VERSION:
-            raise ServiceError(
-                f"job journal {self.path} has schema version "
-                f"{header.get('version')!r}, expected {STORE_VERSION}")
-        self._lines = len(events)
-        for event in events[1:]:
-            self._apply(event)
-        self.replayed = len(self._records)
-
     def _apply(self, event: Mapping[str, object]) -> None:
         """Fold one journal event into the live-record mirror."""
         kind = event.get("type")
@@ -280,13 +159,13 @@ class JsonlJobStore(JobStore):
             # Last write wins: only the newest snapshot matters, and
             # compaction re-emits exactly one.  _apply runs during
             # __init__ replay or under the caller's lock.
-            self._burst = {  # lint: unlocked
+            self._burst = {
                 "scores": dict(event.get("scores") or {}),
                 "at": event.get("at")}
             return
         if kind in ("submit", "snapshot"):
-            record = {key: value for key, value in event.items()
-                      if key != "type"}
+            record = dict(event)
+            del record["type"]
             record.setdefault("entries", [])
             record.setdefault("retries", 0)
             self._records[record["job_id"]] = record
@@ -307,43 +186,19 @@ class JsonlJobStore(JobStore):
         elif kind == "entry":
             record["entries"].append(event.get("record", {}))
 
-    def load(self) -> List[Dict[str, object]]:
-        with self._lock:
-            return [dict(record, entries=list(record["entries"]))
-                    for record in self._records.values()]
-
-    # ------------------------------------------------------------------
-    # Append path
-    # ------------------------------------------------------------------
-    def _append(self, event: Dict[str, object]) -> None:
-        """Write one event line, flushed; auto-compacts past threshold.
-
-        Caller holds no lock or the store lock; this method takes the
-        lock itself only from public entry points — internal callers
-        already hold it.
-        """
-        self._stream.write(json.dumps(event, separators=(",", ":"))
-                           + "\n")
-        self._stream.flush()
-        self._lines += 1
-        self.appended += 1
-        if self._lines >= self.compact_threshold:
-            self._compact_locked()
+    def _record(self, event: Dict[str, object]) -> None:
+        """Fold one event into the mirror (the durable store also
+        journals it).  Callers hold the store lock."""
+        self._apply(event)
 
     def record_submit(self, job) -> None:
         with self._lock:
-            if self._closed:
-                return
-            snapshot = job_snapshot(job)
-            self._records[job.job_id] = snapshot
-            self._append(dict(snapshot, type="submit"))
+            if not self._closed:
+                self._record(dict(job_snapshot(job), type="submit"))
 
     def record_transition(self, job) -> None:
         with self._lock:
-            if self._closed:
-                return
-            record = self._records.get(job.job_id)
-            if record is None:
+            if self._closed or job.job_id not in self._records:
                 return
             event: Dict[str, object] = {
                 "type": "state",
@@ -357,20 +212,14 @@ class JsonlJobStore(JobStore):
                 event["response"] = job.response
             if job.error is not None:
                 event["error"] = job.error
-            self._apply(event)
-            self._append(event)
+            self._record(event)
 
     def record_entry(self, job_id: str,
                      record: Mapping[str, object]) -> None:
         with self._lock:
-            if self._closed:
-                return
-            if job_id not in self._records:
-                return
-            event = {"type": "entry", "job_id": job_id,
-                     "record": dict(record)}
-            self._apply(event)
-            self._append(event)
+            if not self._closed and job_id in self._records:
+                self._record({"type": "entry", "job_id": job_id,
+                              "record": dict(record)})
 
     def forget(self, job_ids) -> None:
         """GC hook: drop jobs from the live set, journaling the drop.
@@ -384,19 +233,15 @@ class JsonlJobStore(JobStore):
                 return
             for job_id in job_ids:
                 if job_id in self._records:
-                    self._records.pop(job_id, None)
-                    self._append({"type": "forget", "job_id": job_id})
+                    self._record({"type": "forget", "job_id": job_id})
 
     def record_burst(self, scores: Mapping[str, float],
                      at: float) -> None:
         with self._lock:
-            if self._closed:
-                return
-            snapshot = {"scores": {tenant: float(score)
-                                   for tenant, score in scores.items()},
-                        "at": float(at)}
-            self._burst = snapshot
-            self._append(dict(snapshot, type="burst"))
+            if not self._closed:
+                self._record({"scores": {tenant: float(score)
+                                         for tenant, score in scores.items()},
+                              "at": float(at), "type": "burst"})
 
     def load_burst(self) -> Optional[Dict[str, object]]:
         with self._lock:
@@ -405,34 +250,108 @@ class JsonlJobStore(JobStore):
             return {"scores": dict(self._burst["scores"]),
                     "at": self._burst["at"]}
 
+    def close(self) -> None:
+        self._closed = True
+
+    def stats(self) -> Dict[str, object]:
+        with self._lock:
+            return {"kind": "memory", "live_jobs": len(self._records),
+                    "closed": self._closed}
+
+
+class JsonlJobStore(MemoryJobStore):
+    """Append-only JSONL write-ahead log with automatic compaction.
+
+    Layout: ``<root>/jobs.wal`` (a :mod:`repro.journal`) — line 1 a
+    header, every further line one event.  Appends flush before
+    returning, so any event the manager observed as recorded survives a
+    crash; a torn final line (the expected wound of a killed writer) is
+    skipped on load.  The event folding is :class:`MemoryJobStore`'s;
+    this class also appends each event, replays them on open and
+    compacts.
+
+    Args:
+        root: Store directory (created if missing); the server's
+            ``--store-dir``.
+        compact_threshold: WAL line count that triggers an automatic
+            rewrite to one snapshot per live job.  Retention GC calls
+            :meth:`forget`, so the compacted size is bounded by the
+            manager's retention cap, not server lifetime.
+    """
+
+    WAL_NAME = "jobs.wal"
+
+    def __init__(self, root, *,
+                 compact_threshold: int = DEFAULT_COMPACT_THRESHOLD) -> None:
+        if compact_threshold < 2:
+            raise ServiceError(f"compact_threshold must be >= 2, "
+                               f"got {compact_threshold}")
+        self.root = Path(root)
+        self.path = self.root / self.WAL_NAME
+        self.compact_threshold = compact_threshold
+        super().__init__()
+        self._lines = 0
+        self.replayed = 0
+        self.compactions = 0
+        self.appended = 0
+        events, self.torn_lines = journal.read(self.path)
+        if events:
+            self._replay(events)
+        self._journal = journal.Journal(
+            self.path, {"type": "header", "version": STORE_VERSION})
+        if not events:
+            if self.torn_lines:
+                # Nothing but a torn first write: start over header-only.
+                self._journal.rewrite(())
+            self._lines = self.appended = 1
+
+    # ------------------------------------------------------------------
+    # Replay
+    # ------------------------------------------------------------------
+    def _replay(self, events: List[Dict[str, object]]) -> None:
+        header = events[0]
+        if header.get("type") != "header":
+            raise ServiceError(
+                f"job journal {self.path} has no header line; refusing "
+                f"to recover from it (move it aside to start fresh)")
+        if header.get("version") != STORE_VERSION:
+            raise ServiceError(
+                f"job journal {self.path} has schema version "
+                f"{header.get('version')!r}, expected {STORE_VERSION}")
+        self._lines = len(events)
+        for event in events[1:]:
+            self._apply(event)
+        self.replayed = len(self._records)
+
+    # ------------------------------------------------------------------
+    # Append path
+    # ------------------------------------------------------------------
+    def _record(self, event: Dict[str, object]) -> None:
+        """Apply one event and append it, flushed; auto-compacts past
+        the threshold.  Callers hold the store lock."""
+        self._apply(event)
+        self._journal.append(event)
+        self._lines += 1
+        self.appended += 1
+        if self._lines >= self.compact_threshold:
+            self._compact_locked()
+
     # ------------------------------------------------------------------
     # Compaction
     # ------------------------------------------------------------------
     def _compact_locked(self) -> None:
         """Rewrite the WAL as header + one snapshot per live job.
 
-        Atomic: write to a temp file, fsync, rename over the WAL —
-        a crash mid-compaction leaves either the old or the new
-        journal, never a half-written one.
+        Atomic (:meth:`repro.journal.Journal.rewrite`): a crash
+        mid-compaction leaves either the old or the new journal, never
+        a half-written one.
         """
-        tmp = self.path.with_suffix(".wal.tmp")
-        with open(tmp, "w", encoding="utf-8") as stream:
-            stream.write(json.dumps({"type": "header",
-                                     "version": STORE_VERSION},
-                                    separators=(",", ":")) + "\n")
-            for record in self._records.values():
-                stream.write(json.dumps(dict(record, type="snapshot"),
-                                        separators=(",", ":")) + "\n")
-            if self._burst is not None:
-                stream.write(json.dumps(dict(self._burst, type="burst"),
-                                        separators=(",", ":")) + "\n")
-            stream.flush()
-            os.fsync(stream.fileno())
-        self._stream.close()
-        os.replace(tmp, self.path)
-        self._stream = open(self.path, "a", encoding="utf-8")
-        self._lines = (1 + len(self._records)
-                       + (1 if self._burst is not None else 0))
+        snapshots = [dict(record, type="snapshot")
+                     for record in self._records.values()]
+        if self._burst is not None:
+            snapshots.append(dict(self._burst, type="burst"))
+        self._journal.rewrite(snapshots)
+        self._lines = 1 + len(snapshots)
         self.compactions += 1
 
     def compact(self) -> int:
@@ -454,7 +373,7 @@ class JsonlJobStore(JobStore):
             if self._closed:
                 return
             self._closed = True
-            self._stream.close()
+            self._journal.close()
 
     def stats(self) -> Dict[str, object]:
         with self._lock:

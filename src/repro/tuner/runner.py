@@ -17,14 +17,15 @@ Two properties make runs cheap to repeat and safe to kill:
   fingerprint across the whole run, so a benchmark whose scale
   overrides do not change between racing rounds (or two candidates
   resolving to the same config) compiles exactly once.
-* **An append-only JSONL journal.**  Every executed trial is journaled
-  the moment its result lands.  A killed run resumes by pointing a new
-  :class:`TuningRun` at the same journal: journaled trials are restored
-  instead of recompiled (zero repeat compilations — observable through
-  the backend's cache accounting), and the deterministic strategy
-  replays the identical rounds from there.  A journal records its run's
-  fingerprint, so resuming with a different space/objective/strategy/
-  benchmark set fails fast instead of silently mixing runs.
+* **An append-only JSONL journal** (:mod:`repro.journal`).  Every
+  executed trial is journaled the moment its result lands.  A killed
+  run resumes by pointing a new :class:`TuningRun` at the same journal:
+  journaled trials are restored instead of recompiled (zero repeat
+  compilations — observable through the backend's cache accounting),
+  and the deterministic strategy replays the identical rounds from
+  there.  A journal records its run's fingerprint, so resuming with a
+  different space/objective/strategy/benchmark set fails fast instead
+  of silently mixing runs.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from repro import journal
 from repro.exceptions import TunerError
 from repro.api.job import CompileJob, MachineSpec
 from repro.api.session import Session
@@ -144,23 +146,15 @@ class TrialJournal:
         self.path = Path(path)
         self.run_fingerprint = run_fingerprint
         self.restored: Dict[str, Dict[str, object]] = {}
-        if self.path.exists() and self.path.stat().st_size > 0:
-            self._load()
+        self._header = {"type": "header", "version": JOURNAL_VERSION,
+                        "run": run_fingerprint}
+        records, torn = journal.read(self.path)
+        if records or torn:
+            self._load(records)
         else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._append({"type": "header", "version": JOURNAL_VERSION,
-                          "run": run_fingerprint})
+            journal.Journal(self.path, self._header).close()
 
-    def _load(self) -> None:
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        records = []
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except ValueError:
-                continue  # torn tail from a killed writer
+    def _load(self, records: List[Dict[str, object]]) -> None:
         if not records or records[0].get("type") != "header":
             raise TunerError(
                 f"journal {self.path} has no header line; refusing to "
@@ -180,15 +174,10 @@ class TrialJournal:
             if record.get("type") == "trial" and "fingerprint" in record:
                 self.restored[record["fingerprint"]] = record
 
-    def _append(self, record: Dict[str, object]) -> None:
-        with open(self.path, "a", encoding="utf-8") as stream:
-            stream.write(json.dumps(record, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
-            stream.flush()
-
     def append_trial(self, record: Dict[str, object]) -> None:
         """Persist one executed trial (flushed before returning)."""
-        self._append(dict(record, type="trial"))
+        with journal.Journal(self.path, self._header) as stream:
+            stream.append(dict(record, type="trial"))
 
 
 # ----------------------------------------------------------------------

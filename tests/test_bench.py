@@ -87,6 +87,11 @@ class TestRecords:
         journal = bench.read_history(str(history), "telemetry")
         assert len(journal["records"]) == 1
         assert journal["torn_lines"] == 1
+        # The next record after the crash is kept, on its own line.
+        bench.append_history(str(history), _record(BASE_METRICS))
+        journal = bench.read_history(str(history), "telemetry")
+        assert len(journal["records"]) == 2
+        assert journal["torn_lines"] == 1
 
     def test_missing_history_is_empty_not_fatal(self, tmp_path):
         journal = bench.read_history(str(tmp_path / "nowhere"), "x")

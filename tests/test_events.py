@@ -169,6 +169,15 @@ class TestJsonlSink:
         assert replay["torn_lines"] == 1
         assert [event["message"] for event in replay["events"]] == \
             ["survives"]
+        # A restarted sink's first event starts a fresh line instead of
+        # being glued onto the torn fragment.
+        sink = JsonlSink(str(path))
+        EventLog(sinks=(sink,)).info("after restart")
+        sink.close()
+        replay = read_events(str(path))
+        assert replay["torn_lines"] == 1
+        assert [event["message"] for event in replay["events"]] == \
+            ["survives", "after restart"]
 
     def test_rotation_caps_file_size(self, tmp_path):
         path = tmp_path / "events.jsonl"

@@ -189,6 +189,34 @@ def test_unrelated_start_calls_not_flagged(tmp_path):
     assert findings == []
 
 
+APPEND_SOURCE = ("from pathlib import Path\n"
+                 "a = open('x.jsonl', 'a', encoding='utf-8')\n"
+                 "b = Path('x.jsonl').open(mode='ab')\n"
+                 "c = open('x.jsonl', 'r')\n"
+                 "d = open('x.jsonl', 'w')\n"
+                 "e = Path('x.jsonl').open()\n")
+
+
+def test_append_open_flagged_in_repro_package(tmp_path):
+    findings = _lint_source(tmp_path, APPEND_SOURCE,
+                            relative="repro/tenancy/store.py")
+    assert [(f.rule, f.line) for f in findings] == \
+        [("LR007", 2), ("LR007", 3)]
+
+
+def test_append_open_allowed_in_journal_module_and_outside_repro(tmp_path):
+    assert _lint_source(tmp_path, APPEND_SOURCE,
+                        relative="repro/journal.py") == []
+    assert _lint_source(tmp_path, APPEND_SOURCE,
+                        relative="scripts/sample.py") == []
+
+
+def test_journal_append_pragma_suppresses(tmp_path):
+    source = "log = open('x.log', 'a')  # lint: journal-append\n"
+    assert _lint_source(tmp_path, source,
+                        relative="repro/service/sample.py") == []
+
+
 def test_lint_off_pragma_disables_all_rules(tmp_path):
     findings = _lint_source(tmp_path,
                             "import time\nnow = time.time()  # lint: off\n")

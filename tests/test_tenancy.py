@@ -307,6 +307,14 @@ class TestJsonlJobStore:
         reopened = JsonlJobStore(tmp_path)
         assert reopened.torn_lines == 1
         assert len(reopened.load()) == 1
+        # The first job accepted after recovery lands on its own line,
+        # not glued onto the torn fragment (and lost on the next replay).
+        reopened.record_submit(finished_job("job-000002"))
+        reopened.close()
+        again = JsonlJobStore(tmp_path)
+        assert [record["job_id"] for record in again.load()] == \
+            ["job-000001", "job-000002"]
+        assert again.torn_lines == 1
 
     def test_version_mismatch_refuses_recovery(self, tmp_path):
         wal = tmp_path / "jobs.wal"
@@ -345,10 +353,28 @@ class TestJsonlJobStore:
         store.record_transition(finished_job("job-000001"))
         assert len(JsonlJobStore(tmp_path).load()) == 1
 
-    def test_memory_store_loads_empty_and_mirrors(self):
-        store = MemoryJobStore()
-        store.record_submit(finished_job())
-        assert len(store.load()) == 1
+    def test_memory_store_loads_empty_and_mirrors(self, tmp_path):
+        # Both stores fold the same events, so they recover alike.
+        memory, durable = MemoryJobStore(), JsonlJobStore(tmp_path)
+        job = QueuedJob("job-000001", "sweep", {"job": {}}, priority=1)
+        job.tenant = ALICE
+        for store in (memory, durable):
+            store.record_submit(job)
+            store.record_submit(finished_job("job-000002"))
+        job.transition(RUNNING)
+        job.add_entry({"ok": True, "index": 0})
+        job.response = {"ok": True, "rows": []}
+        job.transition(DONE)
+        for store in (memory, durable):
+            store.record_entry(job.job_id, {"ok": True, "index": 0})
+            store.record_transition(job)
+            store.forget(["job-000002"])
+            store.record_burst({"alice": 2.0}, 1.0)
+        durable.close()
+        recovered = JsonlJobStore(tmp_path)
+        assert memory.load() == recovered.load()
+        assert [record["state"] for record in memory.load()] == [DONE]
+        assert memory.load_burst() == recovered.load_burst()
         assert MemoryJobStore().load() == []
 
     def test_snapshot_redacts_api_key(self):

@@ -23,6 +23,7 @@ import threading
 import pytest
 
 from repro.exceptions import TunerError
+from repro.journal import read as read_journal
 from repro.api import MachineSpec, Session
 from repro.cluster import ClusterCoordinator
 from repro.core.compiler import POLICY_PRESETS, preset
@@ -418,6 +419,13 @@ class TestJournalResume:
             stream.write('{"type": "trial", "fingerpr')  # torn write
         resumed = small_run(journal_path=journal)
         assert resumed.journal_restored == run.trials_executed
+        # The first trial journaled after the crash starts a fresh line
+        # instead of being glued onto the torn fragment.
+        resumed.journal.append_trial({"fingerprint": "f" * 64, "ok": False})
+        again = small_run(journal_path=journal)
+        assert again.journal_restored == run.trials_executed + 1
+        assert "f" * 64 in again.journal.restored
+        assert read_journal(journal)[1] == 1  # still one torn line
         headerless = tmp_path / "bad.jsonl"
         headerless.write_text('{"type": "trial"}\n')
         with pytest.raises(TunerError, match="no header"):

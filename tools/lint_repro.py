@@ -33,6 +33,11 @@ generic linters don't know about:
   open spans with ``with recorder.span(...)`` instead, or close the
   manual start in a ``try/finally``.  Deliberate manual lifecycles
   carry ``# lint: manual-span``.
+* **LR007 journal-append** — ``open(...)`` in an append mode anywhere in
+  ``src/repro`` outside ``repro/journal.py``.  A hand-rolled append
+  journal re-grows the torn-tail bug that module fixes (the first
+  record written after a crash glued onto the torn line, then dropped
+  by the next replay); append through ``repro.journal.Journal``.
 
 Suppression: a ``# lint: <tag>[, <tag>...]`` comment on the offending
 line disables the matching rule there (``# lint: off`` disables all).
@@ -72,6 +77,9 @@ RULES: Dict[str, Tuple[str, str]] = {
     "LR006": ("manual-span",
               "Span started manually without a finally/with closing "
               "it; unfinished spans never reach their recorder"),
+    "LR007": ("journal-append",
+              "open(...) in append mode outside repro/journal.py; "
+              "append through repro.journal.Journal"),
 }
 
 #: Directory names whose files get the LR001 wall-clock rule.
@@ -80,6 +88,10 @@ MONOTONIC_LAYERS = ("queue", "service", "cluster", "tenancy")
 #: Files whose durations feed metrics directly: the LR005 rule.
 TELEMETRY_LAYER = "telemetry"
 PHASE_TIMER_FILES = (("core", "compiler.py"),)
+
+#: Package whose files get the LR007 rule, and its one exempt file.
+JOURNAL_PACKAGE = "repro"
+JOURNAL_FILE = ("repro", "journal.py")
 
 _PRAGMA = re.compile(r"#\s*lint:\s*([\w\-, ]+)")
 
@@ -125,7 +137,7 @@ def _is_call_to(node: ast.AST, module: str, name: str) -> bool:
 
 
 # ----------------------------------------------------------------------
-# LR001 / LR002 / LR003: single-pass node checks
+# LR001 / LR002 / LR003 / LR007: single-pass node checks
 # ----------------------------------------------------------------------
 def _check_wall_clock(tree: ast.AST) -> Iterable[Tuple[int, str]]:
     for node in ast.walk(tree):
@@ -202,6 +214,32 @@ def _check_thread_daemon(tree: ast.AST) -> Iterable[Tuple[int, str]]:
                "threading.Thread without daemon=; pass daemon=True, or "
                "annotate `# lint: joined-thread` when the thread is "
                "explicitly joined")
+
+
+def _is_append_mode(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "a" in node.value and set(node.value) <= set("rwxabt+"))
+
+
+def _check_journal_append(tree: ast.AST) -> Iterable[Tuple[int, str]]:
+    """Flag ``open(path, "a")``, ``io.open(...)`` and ``Path.open("a")``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            modes = node.args[1:2]
+        elif isinstance(func, ast.Attribute) and func.attr == "open":
+            modes = node.args[:2]
+        else:
+            continue
+        modes += [keyword.value for keyword in node.keywords
+                  if keyword.arg == "mode"]
+        if any(_is_append_mode(mode) for mode in modes):
+            yield (node.lineno,
+                   "open() in append mode; append through "
+                   "repro.journal.Journal, which keeps a torn tail from "
+                   "swallowing the next record")
 
 
 # ----------------------------------------------------------------------
@@ -415,6 +453,9 @@ def lint_file(path: Path, root: Path) -> List[Finding]:
     if (TELEMETRY_LAYER in relative.parts
             or relative.parts[-2:] in [tuple(p) for p in PHASE_TIMER_FILES]):
         checks.append(("LR005", _check_telemetry_clock))
+    if (JOURNAL_PACKAGE in relative.parts
+            and relative.parts[-2:] != JOURNAL_FILE):
+        checks.append(("LR007", _check_journal_append))
     findings = []
     for rule, check in checks:
         for line, message in check(tree):
