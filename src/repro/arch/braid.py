@@ -123,6 +123,12 @@ class BraidTracker:
         self._braid_duration = braid_duration
         self._prune_window = prune_window
         self._active: List[Braid] = []
+        #: The same braids keyed by ``start // _bucket_width``.  Every
+        #: braid lasts ``braid_duration``, so only braids starting within
+        #: one duration of a request can overlap it: three buckets hold
+        #: them.
+        self._bucket_width = max(braid_duration, 1)
+        self._by_start: Dict[int, List[Braid]] = {}
         self._latest_finish = 0
         self.total_braids = 0
         self.total_crossings = 0
@@ -141,6 +147,7 @@ class BraidTracker:
     def reset(self) -> None:
         """Forget all braids and statistics."""
         self._active.clear()
+        self._by_start.clear()
         self._latest_finish = 0
         self.total_braids = 0
         self.total_crossings = 0
@@ -160,10 +167,15 @@ class BraidTracker:
         start = earliest_start
         finish = start + self._braid_duration
 
-        # Braid.overlaps_time and Braid.crosses, inlined: this scan runs
-        # once per tracked braid for every logical CNOT.
+        # Braid.overlaps_time and Braid.crosses, inlined, over the
+        # buckets that can hold a braid starting in (start - duration,
+        # finish).
+        by_start = self._by_start
+        key = start // self._bucket_width
         conflict_finishes = [
-            braid.finish for braid in self._active
+            braid.finish
+            for near in (key - 1, key, key + 1) if near in by_start
+            for braid in by_start[near]
             if braid.start < finish and start < braid.finish
             and not braid.vertices.isdisjoint(vertices)
         ]
@@ -175,6 +187,7 @@ class BraidTracker:
         braid = Braid(start=start, finish=finish, vertices=vertices,
                       endpoints=(coord_a, coord_b))
         self._active.append(braid)
+        by_start.setdefault(start // self._bucket_width, []).append(braid)
         self._latest_finish = max(self._latest_finish, finish)
         self.total_braids += 1
         self.total_crossings += crossings
@@ -194,4 +207,15 @@ class BraidTracker:
         if horizon <= 0:
             return
         if len(self._active) > 256:
-            self._active = [b for b in self._active if b.finish >= horizon]
+            kept = [b for b in self._active if b.finish >= horizon]
+            if len(kept) < len(self._active):
+                by_start = self._by_start
+                width = self._bucket_width
+                for key in {b.start // width for b in self._active
+                            if b.finish < horizon}:
+                    bucket = [b for b in by_start[key] if b.finish >= horizon]
+                    if bucket:
+                        by_start[key] = bucket
+                    else:
+                        del by_start[key]
+                self._active = kept

@@ -9,19 +9,32 @@ re-serves earlier results instead of recompiling.
 Layout of a cache directory::
 
     <root>/
-        index.json            # advisory metadata listing, rebuildable
+        index.jsonl           # advisory metadata journal, rebuildable
+        index.lock            # fcntl lock file for index writers
         results/
             <fingerprint>.json
 
-Writes are atomic (temp file + ``os.replace`` in the same directory), so
-a crashed or killed writer can never leave a half-written payload under
-a live fingerprint.  Reads are corruption-tolerant: an unreadable,
-truncated or mislabelled payload counts as a miss (and is recorded in
-:meth:`DiskCache.stats`), after which the session simply recompiles and
-rewrites the entry.  The index is purely advisory — membership always
-comes from the payload files — and is rebuilt from them when missing or
-corrupt; index rewrites take a best-effort ``fcntl`` file lock so two
-servers sharing one cache directory do not interleave their rewrites.
+Payload writes are atomic (temp file + ``os.replace`` in the same
+directory), so a crashed or killed writer can never leave a half-written
+payload under a live fingerprint.  Reads are corruption-tolerant: an
+unreadable, truncated or mislabelled payload counts as a miss (and is
+recorded in :meth:`DiskCache.stats`), after which the session simply
+recompiles and rewrites the entry.
+
+The index is a :mod:`repro.journal` file: a version header, then one
+``{"fp": ..., "meta": {...}}`` record per committed entry and one
+``{"fp": ..., "drop": true}`` record per eviction.  Loading folds it
+(last record wins, a drop removes the entry).  :meth:`DiskCache.flush_index`
+appends only the records staged since the last flush, so committing a
+fresh result costs the same however large the cache is.  The index is
+purely advisory — membership always comes from the payload files — and
+is rebuilt from them when it is missing, corrupt, or lists a different
+set of fingerprints than ``results/`` holds.  Every index write takes a
+best-effort ``fcntl`` file lock shared by all processes over the
+directory; a rebuild, :meth:`DiskCache.clear`,
+:meth:`DiskCache.gc_orphans` and a load that finds more than twice as
+many records as live entries compact the journal to one record per
+live entry (temp file, fsync, rename).
 
 With ``max_bytes`` set, the cache enforces a size cap by LRU eviction:
 every read hit bumps the payload file's mtime (so recency is shared
@@ -38,17 +51,21 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 try:  # pragma: no cover - platform probe
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
+from repro import journal
 from repro.core.result import CompilationResult
 
 #: Payload schema version; bump on incompatible layout changes.
 CACHE_VERSION = 1
+
+#: Line 1 of the index journal.
+_INDEX_HEADER = {"version": CACHE_VERSION}
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -91,7 +108,7 @@ class DiskCache:
         self.root = Path(root).expanduser()
         self.results_dir = self.root / "results"
         self.results_dir.mkdir(parents=True, exist_ok=True)
-        self.index_path = self.root / "index.json"
+        self.index_path = self.root / "index.jsonl"
         self.lock_path = self.root / "index.lock"
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
@@ -101,7 +118,9 @@ class DiskCache:
         self.writes = 0
         self.evictions = 0
         self.orphans_removed = 0
-        self._index_dirty = False
+        #: Index records not yet appended: fingerprint -> meta, or
+        #: None for a drop.
+        self._pending: Dict[str, Optional[Dict[str, object]]] = {}
         self._index: Dict[str, Dict[str, object]] = self._load_index()
         #: Running payload-byte estimate so an under-cap put stays O(1);
         #: reconciled against a real directory scan on every eviction.
@@ -111,23 +130,50 @@ class DiskCache:
     def _result_path(self, fingerprint: str) -> Path:
         return self.results_dir / f"{fingerprint}.json"
 
+    def _read_index(self) -> Tuple[Optional[Dict[str, Dict[str, object]]],
+                                   int]:
+        """Fold the journal: ``(entries, records)``, where ``entries``
+        is None when the journal is missing or has no valid header, and
+        ``records`` counts the entry and drop records read."""
+        try:
+            records, _ = journal.read(self.index_path)
+        except OSError:
+            return None, 0
+        if not records or records[0] != _INDEX_HEADER:
+            return None, 0
+        entries: Dict[str, Dict[str, object]] = {}
+        count = 0
+        for record in records[1:]:
+            fingerprint = record.get("fp")
+            if not isinstance(fingerprint, str):
+                continue  # a second header from a racing create
+            count += 1
+            meta = record.get("meta")
+            if record.get("drop") is True:
+                entries.pop(fingerprint, None)
+            elif isinstance(meta, dict):
+                entries[fingerprint] = meta
+        return entries, count
+
     def _load_index(self) -> Dict[str, Dict[str, object]]:
         """Load the advisory index, rebuilding it when missing, corrupt
         or stale (index writes are deferred to :meth:`flush_index`, so a
-        killed process can leave the file behind the payload files)."""
-        try:
-            data = json.loads(self.index_path.read_text(encoding="utf-8"))
-            entries = data["entries"]
-            if data.get("version") != CACHE_VERSION or not isinstance(
-                    entries, dict):
-                raise ValueError("index schema mismatch")
-            if len(entries) != len(self):
-                raise ValueError("index is stale")
+        killed process can leave the journal behind the payload files)
+        and compacting it when more than half its records are dead."""
+        entries, records = self._read_index()
+        if entries is not None and records <= 2 * len(entries) \
+                and sorted(entries) == self.fingerprints():
             return entries
-        except (OSError, ValueError, KeyError, TypeError):
+        with self._index_file_lock():
+            # Re-read under the lock: another writer may have appended.
+            entries, _ = self._read_index()
+            if entries is None or sorted(entries) != self.fingerprints():
+                entries = self._rebuild_index()
             # Constructor path: the cache is not shared yet.
-            self._index_dirty = True  # lint: unlocked
-            return self._rebuild_index()
+            self._index = entries  # lint: unlocked
+            with contextlib.suppress(OSError):  # advisory: next load retries
+                self._compact_locked()
+        return entries
 
     def _rebuild_index(self) -> Dict[str, Dict[str, object]]:
         """Reconstruct index metadata by scanning the payload files."""
@@ -145,11 +191,11 @@ class DiskCache:
 
     @contextlib.contextmanager
     def _index_file_lock(self):
-        """Best-effort cross-process lock for index rewrites.
+        """Best-effort cross-process lock for index writes.
 
-        Two servers sharing one cache directory serialize their
-        read-merge-write index updates on an ``fcntl`` advisory lock, so
-        one writer cannot silently drop the entries another wrote.  A
+        Two servers sharing one cache directory serialize their index
+        appends and compactions on an ``fcntl`` advisory lock, so a
+        compaction cannot drop records another writer is appending.  A
         platform without :mod:`fcntl` (or a filesystem refusing to lock)
         degrades to the previous unlocked behaviour — the index is
         advisory and rebuildable, so this is safe, just less tidy.
@@ -172,33 +218,27 @@ class DiskCache:
             handle.close()  # closing drops any held flock
 
     def _merge_foreign_entries(self) -> None:
-        """Fold other writers' on-disk index entries into ours.
+        """Fold other writers' committed index entries into ours.
 
         Our in-memory view wins for fingerprints we know about (it is
         newer, and locally-evicted keys must stay gone); entries we have
-        never seen are adopted when their payload file still exists —
-        that is what keeps two servers flushing over one directory from
-        clobbering each other.  Called with both locks held.
+        never seen are adopted when their payload file still exists, so
+        a compaction never drops what a sibling process committed.
+        Called with the index file lock held.
         """
-        try:
-            data = json.loads(self.index_path.read_text(encoding="utf-8"))
-            entries = data["entries"]
-            if data.get("version") != CACHE_VERSION or not isinstance(
-                    entries, dict):
-                return
-        except (OSError, ValueError, KeyError, TypeError):
-            return
-        for fingerprint, meta in entries.items():
-            if fingerprint not in self._index and isinstance(meta, dict) \
-                    and fingerprint in self:
+        entries, _ = self._read_index()
+        for fingerprint, meta in (entries or {}).items():
+            if fingerprint not in self._index and fingerprint in self:
                 self._index[fingerprint] = meta
 
-    def _write_index(self) -> None:
-        with self._index_file_lock():
-            self._merge_foreign_entries()
-            payload = {"version": CACHE_VERSION, "entries": self._index}
-            _atomic_write_text(self.index_path,
-                               json.dumps(payload, sort_keys=True, indent=1))
+    def _compact_locked(self) -> None:
+        """Rewrite the journal as one record per live entry, which
+        commits every staged record.  Called with the index file lock
+        held, and with the internal lock too once the cache is shared."""
+        with journal.Journal(self.index_path, _INDEX_HEADER) as index:
+            index.rewrite({"fp": fingerprint, "meta": meta}
+                          for fingerprint, meta in self._index.items())
+        self._pending = {}  # lint: unlocked (caller holds lock)
 
     # ------------------------------------------------------------------
     def get(self, fingerprint: str) -> Optional[CompilationResult]:
@@ -238,10 +278,11 @@ class DiskCache:
             job=None) -> None:
         """Persist one result under its fingerprint (atomic write-through).
 
-        Only the payload file is written here; the advisory index is
-        updated in memory and persisted by :meth:`flush_index` (which a
-        :class:`~repro.api.session.Session` calls once per batch), so a
-        large shared cache is not re-serialized on every single put.
+        Only the payload file is written here.  The index entry (and a
+        drop for each entry the size cap evicts) is staged in memory
+        and appended to the index journal by :meth:`flush_index`, which
+        a :class:`~repro.api.session.Session` calls once per batch; an
+        entry is committed, for :meth:`gc_orphans`, only once flushed.
 
         Args:
             fingerprint: The job fingerprint keying the entry.
@@ -272,7 +313,7 @@ class DiskCache:
                     overwritten = 0
             _atomic_write_text(path, json.dumps(payload, sort_keys=True))
             self._index[fingerprint] = meta
-            self._index_dirty = True
+            self._pending[fingerprint] = meta
             self.writes += 1
             if self.max_bytes is not None:
                 try:
@@ -314,21 +355,31 @@ class DiskCache:
                 continue
             total -= size
             self._index.pop(path.stem, None)
-            self._index_dirty = True  # lint: unlocked (caller holds lock)
+            self._pending[path.stem] = None
             self.evictions += 1
         self._bytes = total  # lint: unlocked (caller holds lock)
 
     def flush_index(self) -> None:
-        """Persist pending index updates (cheap no-op when clean).
+        """Append the staged index records (cheap no-op when clean).
 
-        Membership and reads never depend on the index, and a stale
-        index is rebuilt on the next :class:`DiskCache` construction, so
-        deferring this between batches is always safe.
+        Costs one record per put or eviction since the last flush,
+        whatever the size of the cache.  The journal is reopened per
+        flush, so another process's compaction (a rename over it) never
+        leaves this one appending to an unlinked file.  Membership and
+        reads never depend on the index, and a stale index is rebuilt on
+        the next :class:`DiskCache` construction, so deferring this
+        between batches is always safe.
         """
         with self._lock:
-            if self._index_dirty:
-                self._write_index()
-                self._index_dirty = False
+            if not self._pending:
+                return
+            with self._index_file_lock():
+                with journal.Journal(self.index_path, _INDEX_HEADER) as index:
+                    for fingerprint, meta in self._pending.items():
+                        index.append({"fp": fingerprint, "drop": True}
+                                     if meta is None else
+                                     {"fp": fingerprint, "meta": meta})
+            self._pending = {}
 
     # ------------------------------------------------------------------
     def __contains__(self, fingerprint: str) -> bool:
@@ -355,8 +406,9 @@ class DiskCache:
                     pass
             self._index = {}
             self._bytes = 0
-            self._write_index()
-            self._index_dirty = False
+            with self._index_file_lock():
+                self._merge_foreign_entries()
+                self._compact_locked()
 
     def gc_orphans(self, min_age_seconds: float = 60.0) -> int:
         """Remove orphaned files a crashed writer left behind; returns
@@ -403,15 +455,11 @@ class DiskCache:
                         continue
                     removed += 1
                 # Drop index entries whose payloads are gone (another
-                # process may have evicted them) and persist the tidied
+                # process may have evicted them) and compact the tidied
                 # index so the next load is not flagged stale.
                 self._index = {fingerprint: meta for fingerprint, meta
                                in self._index.items() if fingerprint in self}
-                payload = {"version": CACHE_VERSION, "entries": self._index}
-                _atomic_write_text(self.index_path,
-                                   json.dumps(payload, sort_keys=True,
-                                              indent=1))
-                self._index_dirty = False
+                self._compact_locked()
             self.orphans_removed += removed
             if self.max_bytes is not None:
                 self._bytes = self.total_bytes()

@@ -494,6 +494,27 @@ class TestGcOrphans:
         assert fresh.gc_orphans() == 0
         assert len(fresh) == 2
 
+    def test_fresh_process_adopts_payload_when_counts_match(self, tmp_path):
+        # The index lists {x, y} and results/ holds {x, z}: the counts
+        # agree but the keys do not, so the index is stale and the
+        # crashed writer's valid payload z must be adopted, not swept.
+        ours = DiskCache(tmp_path)
+        session = Session(disk_cache=ours)
+        session.compile("RD53", machine=GRID, policy="lazy")
+        session.compile("RD53", machine=GRID, policy="square")
+        x, y = (CompileJob.for_benchmark("RD53", GRID, policy).fingerprint()
+                for policy in ("lazy", "square"))
+        crashed = DiskCache(tmp_path)
+        (tmp_path / "results" / f"{y}.json").unlink()  # a sibling evicts y
+        z = self.put_without_flush(crashed)
+        del crashed  # no flush_index()
+        for path in (tmp_path / "results").iterdir():
+            self.backdate(path)
+        fresh = DiskCache(tmp_path)
+        assert set(fresh.entries()) == {x, z}
+        assert fresh.gc_orphans() == 0
+        assert sorted(fresh.fingerprints()) == sorted([x, z])
+
 
 # ----------------------------------------------------------------------
 # Deterministic fake workers for coordinator failure paths

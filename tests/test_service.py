@@ -1,6 +1,7 @@
 """Tests for repro.service: disk cache, failure isolation, HTTP endpoint."""
 
 import json
+import sys
 import threading
 
 import pytest
@@ -248,6 +249,132 @@ class TestDiskCache:
         cache.clear()
         assert len(cache) == 0
         assert cache.entries() == {}
+
+
+class TestDiskCacheIndexJournal:
+    """The index is an append-only journal: a flush appends only what
+    was staged since the last one, never rewriting what is there."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return Session().submit(RD53)
+
+    @staticmethod
+    def lines(cache):
+        return cache.index_path.read_bytes().splitlines()
+
+    def test_flush_appends_one_line_per_put(self, tmp_path, result):
+        cache = DiskCache(tmp_path)
+        for index in range(5):
+            cache.put(f"{index}" * 8, result, job=RD53)
+            cache.flush_index()
+        assert len(self.lines(cache)) == 1 + 5
+        before = cache.index_path.read_bytes()
+        cache.put("x" * 8, result, job=RD53)
+        cache.flush_index()
+        after = cache.index_path.read_bytes()
+        assert after.startswith(before)
+        assert len(after.splitlines()) == len(before.splitlines()) + 1
+        cache.flush_index()  # nothing staged: no write
+        assert cache.index_path.read_bytes() == after
+
+    def test_torn_tail_keeps_complete_entries(self, tmp_path, result):
+        cache = DiskCache(tmp_path)
+        cache.put("a" * 8, result, job=RD53)
+        cache.put("b" * 8, result, job=RD53)
+        cache.flush_index()
+        with open(cache.index_path, "ab") as stream:
+            stream.write(b'{"fp":"' + b"a" * 8 + b'","me')  # crash mid-append
+        reopened = DiskCache(tmp_path)
+        assert set(reopened.entries()) == {"a" * 8, "b" * 8}
+        reopened.put("c" * 8, result, job=RD53)
+        reopened.flush_index()
+        lines = self.lines(reopened)
+        assert lines[-2].endswith(b'"me')
+        assert json.loads(lines[-1])["fp"] == "c" * 8
+        assert set(DiskCache(tmp_path).entries()) == \
+            {"a" * 8, "b" * 8, "c" * 8}
+
+    def test_duplicate_header_is_skipped(self, tmp_path, result):
+        cache = DiskCache(tmp_path)
+        cache.put("a" * 8, result, job=RD53)
+        cache.flush_index()
+        header, *records = self.lines(cache)
+        # Two processes creating the journal at once both write line 1.
+        text = b"\n".join([header, header, *records]) + b"\n"
+        cache.index_path.write_bytes(text)
+        reopened = DiskCache(tmp_path)
+        assert reopened.entries() == cache.entries()
+        assert cache.index_path.read_bytes() == text  # not rebuilt
+
+    def test_directory_from_whole_file_index_reopens(self, tmp_path,
+                                                     result):
+        cache = DiskCache(tmp_path)
+        cache.put(RD53.fingerprint(), result, job=RD53)
+        cache.put("b" * 8, result)
+        cache.flush_index()
+        entries = cache.entries()
+        # The earlier layout: one sorted, indented index.json, no journal.
+        cache.index_path.unlink()
+        (tmp_path / "index.json").write_text(json.dumps(
+            {"version": 1, "entries": entries}, sort_keys=True, indent=1))
+        reopened = DiskCache(tmp_path)
+        assert reopened.entries() == entries
+        assert reopened.get(RD53.fingerprint()) == result
+        assert reopened.get("b" * 8) == result
+        assert len(self.lines(reopened)) == 1 + 2  # rebuilt once
+        text = reopened.index_path.read_bytes()
+        assert DiskCache(tmp_path).entries() == entries
+        assert reopened.index_path.read_bytes() == text
+
+    def test_concurrent_writers_lose_no_record(self, tmp_path, result):
+        # Two caches over one directory (two servers), two threads each
+        # (two workers), every put flushed at once.
+        caches = [DiskCache(tmp_path), DiskCache(tmp_path)]
+        errors = []
+
+        def writer(cache, prefix):
+            try:
+                for index in range(25):
+                    cache.put(f"{prefix}{index:07d}", result, job=RD53)
+                    cache.flush_index()
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(cache, prefix),
+                                    daemon=True)
+                   for cache, prefixes in zip(caches, ("ab", "cd"))
+                   for prefix in prefixes]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(self.lines(caches[0])) == 1 + 100
+        reopened = DiskCache(tmp_path)
+        assert sorted(reopened.entries()) == reopened.fingerprints()
+        assert len(reopened) == 100
+
+    def test_capped_cache_compacts_on_reopen(self, tmp_path, result):
+        probe = DiskCache(tmp_path / "probe")
+        probe.put("f" * 8, result, job=RD53)
+        cache = DiskCache(tmp_path / "capped",
+                          max_bytes=int(probe.total_bytes() * 2.5))
+        for index in range(12):
+            cache.put(f"{index:08d}", result, job=RD53)
+            cache.flush_index()
+        assert cache.evictions == 10
+        assert len(self.lines(cache)) == 1 + 12 + 10
+        reopened = DiskCache(cache.root, max_bytes=cache.max_bytes)
+        live = len(reopened)
+        assert set(reopened.entries()) == set(reopened.fingerprints())
+        assert len(self.lines(reopened)) <= 2 * live + 1
 
 
 class TestSessionDiskTier:

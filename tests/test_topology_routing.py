@@ -174,3 +174,27 @@ class TestBraidTracker:
         tracker.reset()
         assert tracker.total_braids == 0
         assert tracker.average_crossings() == 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 5),
+           st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15),
+                              st.integers(0, 40)),
+                    min_size=1, max_size=40))
+    def test_indexed_conflict_scan_matches_linear_scan(self, duration,
+                                                       requests):
+        # Every tracked braid is checked by brute force against each
+        # request; a tiny prune window keeps the >256-braid prune busy.
+        tracker = BraidTracker(Topology.grid(4, 4), braid_duration=duration,
+                               prune_window=8)
+        clock = 0
+        for site_a, site_b, delay in (requests * 400)[:400]:
+            clock += delay % 7
+            earliest = max(0, clock - delay)
+            before = tracker.active_braids
+            outcome = tracker.request(site_a, site_b, earliest)
+            finish = earliest + duration
+            conflicts = [braid.finish for braid in before
+                         if braid.overlaps_time(earliest, finish)
+                         and braid.crosses(outcome.vertices)]
+            assert outcome.crossings == len(conflicts)
+            assert outcome.start == max(conflicts, default=earliest)
